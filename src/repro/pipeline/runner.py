@@ -38,11 +38,8 @@ from ..estimator.calibration import DEFAULT_CALIBRATION, CalibrationTable
 from ..estimator.fidelity import resolve_fidelity
 from ..scheduling.base import TiledSchedule
 from ..scheduling.registry import SchedulerSpec, get_scheme
-from ..sim.engine import (
-    ENGINE_VERSION,
-    SpMVExecution,
-    execute_schedule,
-)
+from ..sim.engine import ENGINE_VERSION, SpMVExecution
+from ..sim.plan import execute_plan
 from .artifacts import (
     CycleResult,
     EstimateResult,
@@ -353,8 +350,12 @@ class PipelineRunner:
     def execute(
         self, scheduled: ScheduledMatrix, x: np.ndarray
     ) -> SpMVExecution:
-        """Functional execution (never cached: y depends on ``x``)."""
-        return execute_schedule(scheduled.schedule, x, scheduled.config)
+        """Functional execution (never cached: y depends on ``x``).
+
+        Runs the schedule's compiled :class:`~repro.sim.plan.ExecutionPlan`
+        (memoized on the schedule), byte-identical to the object model.
+        """
+        return execute_plan(scheduled.schedule, x, scheduled.config)
 
     # -- stage 4: metrics ------------------------------------------------
 
@@ -528,7 +529,7 @@ class PipelineRunner:
 
         The report is assembled from the *executed* cycle breakdown
         (identical to the analytic one — ``estimate_cycles`` mirrors
-        ``execute_schedule`` exactly), so the execution is never wasted.
+        the executed accounting exactly), so the execution is never wasted.
         """
         loaded = self.load(source)
         if schedule is not None:

@@ -21,8 +21,8 @@ tests working unchanged.
 from __future__ import annotations
 
 from collections.abc import MutableMapping
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -144,6 +144,7 @@ class ChannelGrid:
         "_count",
         "_max_cycle",
         "_max_dirty",
+        "revision",
     )
 
     def __init__(self, channel_id: int, pes: int, length: int = 0):
@@ -162,6 +163,10 @@ class ChannelGrid:
         #: at the tracked maximum marks it dirty for a lazy recompute.
         self._max_cycle = -1
         self._max_dirty = False
+        #: Bumped by every edit of the slots or the length, so a consumer
+        #: holding derived data (the simulator's compiled execution plan)
+        #: can tell whether the grid changed since it looked.
+        self.revision = 0
 
     def __repr__(self) -> str:
         return (
@@ -219,6 +224,32 @@ class ChannelGrid:
         """
         if length > self.length:
             self.length = length
+            self.revision += 1
+
+    def shrink_to_length(self) -> None:
+        """Release the storage :meth:`reserve` allocated past ``length``.
+
+        ``reserve`` grows geometrically, so a finished grid can hold up to
+        twice the cycle rows it streams.  Slots and length are unchanged;
+        rows holding an element are always kept.
+        """
+        keep = min(self.length, self._capacity)
+        if self._max_dirty:
+            occupied_rows = np.flatnonzero(
+                (self._origin_channel[keep:] >= 0).any(axis=1)
+            )
+            if occupied_rows.size:
+                keep += int(occupied_rows[-1]) + 1
+        else:
+            keep = max(keep, self._max_cycle + 1)
+        if keep >= self._capacity:
+            return
+        self._value = self._value[:keep].copy()
+        self._row = self._row[:keep].copy()
+        self._col = self._col[:keep].copy()
+        self._origin_channel = self._origin_channel[:keep].copy()
+        self._origin_pe = self._origin_pe[:keep].copy()
+        self._capacity = keep
 
     def clone(self) -> "ChannelGrid":
         """An independent deep copy (the pass-artifact cache snapshot).
@@ -237,6 +268,7 @@ class ChannelGrid:
         other._count = self._count
         other._max_cycle = self._max_cycle
         other._max_dirty = self._max_dirty
+        other.revision = self.revision
         return other
 
     # -- single-slot API ------------------------------------------------------
@@ -277,6 +309,7 @@ class ChannelGrid:
         self._origin_pe[cycle, pe] = element.origin_pe
         if cycle > self._max_cycle:
             self._max_cycle = cycle
+        self.revision += 1
         self.ensure_length(cycle + 1)
 
     def place(self, cycle: int, pe: int, element: ScheduledElement) -> None:
@@ -299,6 +332,7 @@ class ChannelGrid:
         self._origin_pe[cycle, pe] = STALL_SENTINEL
         self._value[cycle, pe] = 0.0
         self._count -= 1
+        self.revision += 1
         if cycle == self._max_cycle:
             self._max_dirty = True
 
@@ -382,6 +416,7 @@ class ChannelGrid:
         self._count += int(cycles.size)
         if top > self._max_cycle:
             self._max_cycle = top
+        self.revision += 1
         self.ensure_length(top + 1)
 
     def fill_slots(
@@ -408,6 +443,7 @@ class ChannelGrid:
         self._count += int(cycles.size)
         if top > self._max_cycle:
             self._max_cycle = top
+        self.revision += 1
         self.ensure_length(top + 1)
 
     def clear_slots(self, cycles: np.ndarray, pes: np.ndarray) -> None:
@@ -421,6 +457,7 @@ class ChannelGrid:
         self._origin_pe[cycles, pes] = STALL_SENTINEL
         self._value[cycles, pes] = 0.0
         self._count -= int(cycles.size)
+        self.revision += 1
         self._max_dirty = True
 
     # -- compaction ---------------------------------------------------------
@@ -431,6 +468,7 @@ class ChannelGrid:
         O(1) thanks to the incrementally tracked maximum occupied cycle;
         only a removal at the old maximum forces a (vectorized) rescan.
         """
+        self.revision += 1
         if self._count == 0:
             self.length = 0
             self._max_cycle = -1
@@ -651,6 +689,12 @@ class TiledSchedule:
     scheme: str
     n_rows: int = 0
     n_cols: int = 0
+    #: The simulator's compiled execution plan, memoized here by
+    #: :func:`repro.sim.plan.plan_for`, which recompiles it whenever the
+    #: schedule changed since.  Never compared, serialized or hashed.
+    plan_memo: Any = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def nnz(self) -> int:

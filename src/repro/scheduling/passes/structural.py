@@ -11,7 +11,9 @@ with ``compact → trim → verify``.
 ``TrimPass``
     The §3.1 resize: equalises every channel list of the tile to the
     longest one so the tile streams as one rectangular block.  Purely
-    logical — implicit-stall padding allocates no storage.
+    logical — implicit-stall padding allocates no storage — and the
+    grids are final after it, so it also frees the storage their
+    geometric growth reserved past the stream length.
 ``VerifyPass``
     Cheap structural invariants on the finished tile: every non-zero is
     scheduled exactly once (element conservation) and the lists are
@@ -59,6 +61,7 @@ class TrimPass(SchedulePass):
         length = max((len(g) for g in state.grids), default=0)
         for grid in state.grids:
             grid.ensure_length(length)
+            grid.shrink_to_length()
 
 
 class VerifyPass(SchedulePass):

@@ -187,7 +187,8 @@ def schedule_row_split(
     nor the Chasoň execution engine (both of which assume the
     Serpens/Chasoň lane rule) applies to this scheme — it models the
     *scheduler* of a HiSpMV-class design for stall/cycle analysis, not a
-    datapath this simulator can execute.  The dedicated tests check the
+    datapath this simulator can execute (executing split rows raises
+    ``SimulationError`` naming the lane rule).  The dedicated tests check the
     row-split invariants (completeness, per-(PE, row) RAW spacing)
     directly.
     """

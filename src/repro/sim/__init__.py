@@ -13,6 +13,7 @@ from .engine import (
     estimate_cycles,
     execute_schedule,
 )
+from .plan import ExecutionPlan, execute_plan, plan_for
 
 __all__ = [
     "FifoStream",
@@ -27,6 +28,9 @@ __all__ = [
     "SpMVExecution",
     "estimate_cycles",
     "execute_schedule",
+    "ExecutionPlan",
+    "execute_plan",
+    "plan_for",
     "PETimeline",
     "ScheduleTrace",
     "trace_grid",

@@ -23,6 +23,12 @@ output merge            ``ceil(window_rows / 16)`` per row window — the
 Streaming dominates for every matrix in the evaluation; the fixed terms
 keep small matrices honest and reproduce the paper's C5-vs-MY observation
 that reduction latency can offset transfer savings (§6.2.2).
+
+:func:`execute_schedule` is the object model: it instantiates the units
+of Figs. 6–8 for every row window, which makes it the readable reference
+and slow.  The pipeline executes the same schedules through a compiled
+:class:`~repro.sim.plan.ExecutionPlan` instead, which the differential
+tests hold byte-identical to this model.
 """
 
 from __future__ import annotations
@@ -217,6 +223,11 @@ def _execute_schedule(
             if n_cols < 0:
                 raise SimulationError(
                     f"tile at column base {tile.col_base} beyond x"
+                )
+            if len(tile.grids) > len(pegs):
+                raise SimulationError(
+                    f"tile with {len(tile.grids)} channel grids for "
+                    f"{len(pegs)} PEGs"
                 )
             window = x[tile.col_base : tile.col_base + n_cols]
             for peg in pegs:

@@ -21,6 +21,25 @@ from ..scheduling.base import ScheduledElement
 from .memory import BramXBuffer, ScugBankGroup, UramBank
 
 
+def lane_rule_error(
+    row: int, origin_channel: int, origin_pe: int, config: AcceleratorConfig
+) -> SimulationError:
+    """The error for an element whose metadata breaks the Eq. 1 lane rule.
+
+    The Rearrange Unit writes a bank's sums to the rows of the lane
+    ``origin_channel * pes_per_channel + origin_pe``, so an element whose
+    row is not in that lane (``row % total_pes``) would land in another
+    row's output.  Row splitting (``row_split``) schedules such shards.
+    """
+    return SimulationError(
+        f"element of row {row} is tagged (origin channel {origin_channel}, "
+        f"origin PE {origin_pe}), breaking the lane rule row % total_pes "
+        f"== origin_channel * pes_per_channel + origin_pe "
+        f"({row % config.total_pes} != "
+        f"{origin_channel * config.pes_per_channel + origin_pe})"
+    )
+
+
 @dataclass
 class PEStats:
     """Operation counters of one PE."""
@@ -63,12 +82,22 @@ class ProcessingElement:
         product = element.value * x_value
         self.stats.macs += 1
         address = self._address_for_row(element.row)
-        if element.origin_channel == self.channel_id:
-            if element.origin_pe != self.pe_id:
-                raise SimulationError(
-                    f"private element of PE {element.origin_pe} routed to "
-                    f"PE {self.pe_id} of channel {self.channel_id}"
-                )
+        private = element.origin_channel == self.channel_id
+        if private and element.origin_pe != self.pe_id:
+            raise SimulationError(
+                f"private element of PE {element.origin_pe} routed to "
+                f"PE {self.pe_id} of channel {self.channel_id}"
+            )
+        if (
+            element.row % self.config.total_pes
+            != element.origin_channel * self.config.pes_per_channel
+            + element.origin_pe
+        ):
+            raise lane_rule_error(
+                element.row, element.origin_channel, element.origin_pe,
+                self.config,
+            )
+        if private:
             self.uram_pvt.accumulate(address, product)
             self.stats.private_accumulations += 1
         else:
@@ -98,13 +127,22 @@ class ProcessingElement:
         self.stats.macs += n
         addresses = rows // self.config.total_pes
         private = origin_channels == self.channel_id
+        misrouted = private & (origin_pes != self.pe_id)
+        if misrouted.any():
+            raise SimulationError(
+                f"private element of PE {int(origin_pes[misrouted][0])} "
+                f"routed to PE {self.pe_id} of channel {self.channel_id}"
+            )
+        off_lane = rows % self.config.total_pes != (
+            origin_channels * self.config.pes_per_channel + origin_pes
+        )
+        if off_lane.any():
+            bad = int(np.flatnonzero(off_lane)[0])
+            raise lane_rule_error(
+                int(rows[bad]), int(origin_channels[bad]),
+                int(origin_pes[bad]), self.config,
+            )
         if private.any():
-            misrouted = private & (origin_pes != self.pe_id)
-            if misrouted.any():
-                raise SimulationError(
-                    f"private element of PE {int(origin_pes[misrouted][0])} "
-                    f"routed to PE {self.pe_id} of channel {self.channel_id}"
-                )
             self.uram_pvt.accumulate_block(
                 addresses[private], products[private]
             )
